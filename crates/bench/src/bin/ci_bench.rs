@@ -150,7 +150,7 @@ const SPTRSV_GATE_MATRIX: &str = "spd-powerlaw-12k";
 /// Measures one triangular solve kernel with the same batching protocol as
 /// [`measure`] (best batch of [`BATCHES`]).
 fn measure_trsv(k: &TrsvKernel) -> f64 {
-    let n = k.matrix().nrows();
+    let n = k.nrows();
     let b: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64 * 0.13).sin()).collect();
     let mut x = vec![0.0f64; n];
     k.solve(&b, &mut x); // warm up

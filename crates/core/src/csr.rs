@@ -209,6 +209,30 @@ impl CsrMatrix {
         self.filter_triangle(|c, i| if with_diag { c >= i } else { c > i })
     }
 
+    /// Drops the diagonal entries in place, keeping the order of the rest —
+    /// the strict triangle of a triangular matrix without a second copy.
+    pub(crate) fn without_diagonal(mut self) -> CsrMatrix {
+        let mut kept = 0;
+        let mut start = 0;
+        for i in 0..self.nrows {
+            let end = self.rowptr[i + 1];
+            for k in start..end {
+                if self.colind[k] as usize != i {
+                    self.colind[kept] = self.colind[k];
+                    self.values[kept] = self.values[k];
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.rowptr[i + 1] = kept;
+        }
+        self.colind.truncate(kept);
+        self.colind.shrink_to_fit();
+        self.values.truncate(kept);
+        self.values.shrink_to_fit();
+        self
+    }
+
     fn filter_triangle(&self, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix {
         let mut rowptr = vec![0usize; self.nrows + 1];
         let mut colind = Vec::new();
@@ -367,5 +391,12 @@ mod tests {
             }
         }
         assert_eq!(CsrMatrix::from_coo(&coo), m);
+        // Dropping the diagonal in place leaves the two strict triangles.
+        let off = m.clone().without_diagonal();
+        assert!(off.iter().all(|(i, c, _)| c != i));
+        assert_eq!(
+            off.nnz(),
+            m.lower_triangle(false).nnz() + strict_upper.nnz()
+        );
     }
 }

@@ -19,8 +19,9 @@
 //!   loads the next uncached shard's raw CSR one step ahead of the compute
 //!   loop (depth 1, so streaming adds at most two transient fragments on
 //!   top of the window). Kernel *builds* and *applies* stay on the calling
-//!   thread — the vendored rayon broadcast is not reentrant, so all pool
-//!   work is serialized on an internal gate.
+//!   thread, and all pool work is serialized on an internal gate, so a
+//!   background compaction build never interleaves its pool runs with an
+//!   apply's.
 //! - **Delta overlay.** [`ShardedOp::stage_delta`] records additive COO
 //!   updates (`a[r][c] += v`) in the owning shard's overlay; every apply
 //!   folds the overlay in after the base kernel, so updates are visible
@@ -236,8 +237,9 @@ pub struct ShardedOp {
     max_built_bytes: AtomicUsize,
     delta_nnz: AtomicUsize,
     compactions: AtomicUsize,
-    /// Serializes all thread-pool work (applies and compaction builds): the
-    /// vendored rayon broadcast has a single job slot per pool.
+    /// Serializes all thread-pool work (applies and compaction builds) at
+    /// whole-operation granularity; the pool alone would interleave their
+    /// individual runs.
     pool_gate: Mutex<()>,
     maintenance: Arc<Maintenance>,
 }

@@ -1,9 +1,16 @@
 //! Persistent thread-pool execution context with per-thread timing.
 //!
 //! The paper's IMB bound `P_IMB = 2·NNZ / t_median` needs the execution time
-//! of *each* thread for one SpMV (Section III-B). [`ExecCtx`] wraps a pinned
-//! rayon pool, broadcasts a closure to every worker, and records each
-//! worker's wall time into a cache-padded slot.
+//! of *each* thread for one SpMV (Section III-B). [`ExecCtx`] wraps a rayon
+//! pool, broadcasts a closure to every thread, and records each thread's
+//! wall time into a cache-padded slot.
+//!
+//! `tid 0` runs on the thread that calls [`ExecCtx::run`]; only `tid`s
+//! `1..nthreads` are pool workers, so a one-thread context spawns no thread
+//! and runs the closure inline. Idle workers spin briefly on the pool's
+//! epoch, then yield for a while, then park; the caller waits for their
+//! arms the same way. A kernel call thus pays no thread hand-off when the
+//! workers are warm.
 
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +25,8 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// Creates a context with `nthreads` workers (>= 1).
+    /// Creates a context of `nthreads` threads (>= 1): the caller plus
+    /// `nthreads - 1` spawned workers.
     pub fn new(nthreads: usize) -> Arc<Self> {
         assert!(nthreads > 0, "need at least one thread");
         let pool = rayon::ThreadPoolBuilder::new()
@@ -44,15 +52,20 @@ impl ExecCtx {
         Self::new(n)
     }
 
-    /// Number of worker threads.
+    /// Number of threads a [`Self::run`] spans, the caller included.
     #[inline]
     pub fn nthreads(&self) -> usize {
         self.nthreads
     }
 
-    /// Runs `f(tid)` once on every worker thread, blocking until all finish,
-    /// and records per-thread wall times retrievable via
-    /// [`Self::last_thread_times`].
+    /// Runs `f(tid)` once for every `tid` in `0..nthreads`, `tid 0` on the
+    /// calling thread, blocking until all finish, and records per-thread
+    /// wall times retrievable via [`Self::last_thread_times`]. Concurrent
+    /// calls on one context are serialized.
+    ///
+    /// # Panics
+    /// Re-raises a panic of any `f(tid)` after every other `tid` finished;
+    /// the context stays usable.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
@@ -160,5 +173,65 @@ mod tests {
         let ctx = ExecCtx::new(1);
         ctx.run(|tid| assert_eq!(tid, 0));
         assert_eq!(ctx.last_thread_times().len(), 1);
+    }
+
+    #[test]
+    fn tid_zero_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for n in [1, 2] {
+            let ctx = ExecCtx::new(n);
+            let on_caller: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            ctx.run(|tid| {
+                if std::thread::current().id() == caller {
+                    on_caller[tid].fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            let on_caller: Vec<usize> =
+                on_caller.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            let mut want = vec![0; n];
+            want[0] = 1;
+            assert_eq!(on_caller, want, "{n} threads");
+        }
+    }
+
+    #[test]
+    fn panicking_tid_reaches_the_caller_and_context_recovers() {
+        let ctx = ExecCtx::new(2);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.run(|tid| {
+                if tid == 1 {
+                    panic!("tid 1 failed");
+                }
+            })
+        }));
+        let payload = res.expect_err("the worker's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"tid 1 failed"));
+        let hits = AtomicUsize::new(0);
+        ctx.run(|_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn concurrent_runs_each_see_every_tid_once() {
+        let ctx = ExecCtx::new(3);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..1000 {
+                        let seen: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+                        ctx.run(|tid| {
+                            seen[tid].fetch_add(1, Ordering::SeqCst);
+                        });
+                        for s in &seen {
+                            assert_eq!(s.load(Ordering::SeqCst), 1);
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -22,8 +22,9 @@
 //! - [`SpmvServer`] — owns the registered matrices, the per-matrix request
 //!   queues, and a pool of dispatcher workers over the shared
 //!   `ExecCtx` rayon pool. Kernel applications are serialized on that pool
-//!   (the vendored `rayon` broadcast is not reentrant); workers overlap
-//!   queue management, gather/scatter, and ticket fulfillment with it.
+//!   (concurrent SpMVs would only split the memory bandwidth); workers
+//!   overlap queue management, gather/scatter, and ticket fulfillment with
+//!   it.
 //! - **Registration** ([`SpmvServer::register_matrix`]) runs the
 //!   `PlanTuner` once per matrix: the structural fingerprint either warms
 //!   from the persistent plan cache (zero classifier calls, zero timed

@@ -11,13 +11,14 @@
 //! [`crate::stats`] registry.
 //!
 //! Kernel applications themselves are serialized on a dedicated `exec`
-//! mutex. This is deliberate, not incidental: the vendored `rayon`
-//! stand-in's `broadcast` has a single job slot per pool, so two threads
-//! broadcasting on the same `ExecCtx` concurrently would corrupt the
-//! pending count. One in-flight kernel at a time is also what a
-//! bandwidth-bound kernel wants — two concurrent SpMVs would just split
-//! the same memory bandwidth. Throughput comes from *coalescing* (matrix
-//! bytes amortized over the batch), not from overlapping kernels.
+//! mutex. Correctness would not need it: `ExecCtx::run` serializes
+//! concurrent callers itself. The mutex is there for bandwidth: one
+//! in-flight kernel at a time is what a bandwidth-bound kernel wants —
+//! two concurrent SpMVs would just split the same memory bandwidth, and
+//! the mutex holds a whole application (several pool runs for a
+//! transposed or multi-phase kernel) together rather than interleaving
+//! it with another's. Throughput comes from *coalescing* (matrix bytes
+//! amortized over the batch), not from overlapping kernels.
 //!
 //! ## The batching window
 //!
@@ -150,8 +151,8 @@ struct Inner {
     state: Mutex<State>,
     /// Signaled on submit, drain, and shutdown.
     work: Condvar,
-    /// Serializes every kernel application on the shared `ExecCtx` (the
-    /// vendored rayon broadcast is not reentrant; see module docs).
+    /// Serializes every kernel application on the shared `ExecCtx`, one
+    /// bandwidth-bound kernel at a time (see module docs).
     exec: Mutex<()>,
     stats: ServeStats,
 }

@@ -208,9 +208,9 @@ pub fn ilu0(a: &CsrMatrix) -> Result<(CsrMatrix, CsrMatrix), PrecondError> {
 }
 
 /// IC(0) preconditioner `M = L Lᵀ`: each application is a forward solve
-/// with `L` and a backward solve with `Lᵀ`, both through [`TrsvKernel`]
-/// (level-scheduled when the context and DAG shape warrant, serial
-/// otherwise).
+/// with `L` into `z` and a backward solve with `Lᵀ` in place on `z`, both
+/// through [`TrsvKernel`] (level-scheduled when the context and DAG shape
+/// warrant, serial otherwise). An application allocates nothing.
 pub struct Ic0Precond {
     forward: TrsvKernel,
     backward: TrsvKernel,
@@ -232,35 +232,33 @@ impl Ic0Precond {
     /// # Errors
     /// Propagates [`ic0`] failures.
     pub fn with_ctx(a: &CsrMatrix, ctx: Arc<ExecCtx>) -> Result<Self, PrecondError> {
-        let l = Arc::new(ic0(a)?);
+        let l = ic0(a)?;
         let lt = Arc::new(transpose(&l));
-        let forward =
-            TrsvKernel::try_new(l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ctx.clone())
-                .map_err(map_trsv)?;
+        let forward = TrsvKernel::try_new(
+            Arc::new(l),
+            TrsvDirection::Lower,
+            false,
+            TrsvAlgo::Auto,
+            ctx.clone(),
+        )
+        .map_err(map_trsv)?;
         let backward = TrsvKernel::try_new(lt, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
             .map_err(map_trsv)?;
         Ok(Self { forward, backward })
-    }
-
-    /// The incomplete Cholesky factor `L`.
-    pub fn factor(&self) -> &Arc<CsrMatrix> {
-        self.forward.matrix()
     }
 }
 
 impl Preconditioner for Ic0Precond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut y = vec![0.0; r.len()];
-        self.forward.solve(r, &mut y);
-        self.backward.solve(&y, z);
+        self.forward.solve(r, z);
+        self.backward.solve_in_place(z);
     }
 
     fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
         // Native multi-RHS path: both solves stream the factor once for all
         // k columns instead of k gather/apply/scatter round-trips.
-        let mut y = MultiVec::zeros(r.nrows(), r.width());
-        self.forward.solve_multi(r, &mut y);
-        self.backward.solve_multi(&y, z);
+        self.forward.solve_multi(r, z);
+        self.backward.solve_multi_in_place(z);
     }
 
     fn name(&self) -> &'static str {
@@ -268,8 +266,9 @@ impl Preconditioner for Ic0Precond {
     }
 }
 
-/// ILU(0) preconditioner `M = L U`: a unit-lower forward solve and an upper
-/// backward solve per application, both through [`TrsvKernel`].
+/// ILU(0) preconditioner `M = L U`: a unit-lower forward solve into `z`
+/// and an upper backward solve in place on `z` per application, both
+/// through [`TrsvKernel`].
 pub struct Ilu0Precond {
     forward: TrsvKernel,
     backward: TrsvKernel,
@@ -308,29 +307,17 @@ impl Ilu0Precond {
         .map_err(map_trsv)?;
         Ok(Self { forward, backward })
     }
-
-    /// The strict-lower part of the unit-lower factor `L`.
-    pub fn l_factor(&self) -> &Arc<CsrMatrix> {
-        self.forward.matrix()
-    }
-
-    /// The upper factor `U` (diagonal included).
-    pub fn u_factor(&self) -> &Arc<CsrMatrix> {
-        self.backward.matrix()
-    }
 }
 
 impl Preconditioner for Ilu0Precond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut y = vec![0.0; r.len()];
-        self.forward.solve(r, &mut y);
-        self.backward.solve(&y, z);
+        self.forward.solve(r, z);
+        self.backward.solve_in_place(z);
     }
 
     fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
-        let mut y = MultiVec::zeros(r.nrows(), r.width());
-        self.forward.solve_multi(r, &mut y);
-        self.backward.solve_multi(&y, z);
+        self.forward.solve_multi(r, z);
+        self.backward.solve_multi_in_place(z);
     }
 
     fn name(&self) -> &'static str {
