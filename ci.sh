@@ -4,7 +4,8 @@
 #   ci.sh fast — the edit loop gate: formatting, lints (warnings are
 #                errors), and the debug test pyramid.
 #   ci.sh full — everything in fast plus the docs tier, release-mode tests,
-#                bench compile + smoke run, examples, and the
+#                bench compile + smoke run, examples, one run of every
+#                paper-reproduction binary, and the
 #                bench-regression gate (ci_bench: writes the stable
 #                BENCH_TRAJECTORY.json and fails on >15% Gflop/s regression
 #                vs BENCH_BASELINE.json).
@@ -94,6 +95,17 @@ print(f"markdown links ok across {len(files)} file(s); "
 PY
 }
 
+paper_bins_tier() {
+  # Paper bins: every paper-reproduction binary runs once in release, so a
+  # figure or table that panics or loses an input fails CI instead of
+  # waiting to be noticed by hand. Output is discarded; the exit code gates.
+  local bin
+  for bin in ablation fig1 fig3 fig7 table4 table5 tune hostcmp; do
+    echo "  -> $bin"
+    cargo run --release -q -p sparseopt-bench --bin "$bin" > /dev/null
+  done
+}
+
 tier "fmt"              cargo fmt --check
 tier "clippy"           cargo clippy --workspace --all-targets -- -D warnings
 tier "test (debug)"     cargo test --workspace -q
@@ -109,6 +121,7 @@ if [ "$mode" = full ]; then
   # silently rot: a panicking or mis-wired benchmark fails CI here.
   tier "bench smoke"    cargo bench --workspace -- --test
   tier "examples"       cargo build --examples
+  tier "paper bins"     paper_bins_tier
   # Serving smoke: drive a live multi-tenant server with mixed traffic and
   # verify every coalesced reply against a serial reference.
   tier "serve smoke"    cargo run --release -q -p sparseopt-bench --bin traffic -- --smoke

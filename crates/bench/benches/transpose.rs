@@ -47,14 +47,6 @@ fn bench_transpose(c: &mut Criterion) {
                 Arc::new(DeltaCsrMatrix::from_csr(csr)),
                 ctx.clone(),
             )),
-            Box::new(BcsrKernel::new(
-                Arc::new(BcsrMatrix::from_csr(csr, 2, 2)),
-                ctx.clone(),
-            )),
-            Box::new(EllKernel::new(
-                Arc::new(EllMatrix::from_csr(csr)),
-                ctx.clone(),
-            )),
             Box::new(DecomposedKernel::baseline(
                 Arc::new(DecomposedCsrMatrix::from_csr(csr, threshold)),
                 ctx.clone(),

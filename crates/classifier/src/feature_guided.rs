@@ -80,11 +80,6 @@ impl FeatureGuidedClassifier {
         decode_labels(&self.tree.predict(&features.vector(self.set)))
     }
 
-    /// The feature set this classifier consumes.
-    pub fn feature_set(&self) -> FeatureSet {
-        self.set
-    }
-
     /// The underlying tree (introspection, rule dumps).
     pub fn tree(&self) -> &DecisionTree {
         &self.tree

@@ -126,12 +126,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable access to the values (structure is immutable once built).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Number of nonzeros in row `i` (`nnz_i` in Table I).
     #[inline]
     pub fn row_nnz(&self, i: usize) -> usize {
@@ -253,18 +247,6 @@ impl CsrMatrix {
             colind,
             values,
         }
-    }
-
-    /// Returns a copy restricted to the given rows (used by matrix
-    /// decomposition and by partition-local analysis).
-    pub fn extract_rows(&self, rows: &[usize]) -> CooMatrix {
-        let mut coo = CooMatrix::new(self.nrows, self.ncols);
-        for &i in rows {
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                coo.push(i, self.colind[k] as usize, self.values[k]);
-            }
-        }
-        coo
     }
 }
 

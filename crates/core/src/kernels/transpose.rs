@@ -53,8 +53,8 @@ impl TransposePlan {
         }
     }
 
-    /// Plan with equal-count work units (ELL rows, near-uniform by
-    /// construction).
+    /// Plan with equal-count work units (merge-path segments, near-uniform
+    /// by construction).
     pub fn by_rows(nunits: usize, out_dim: usize, nthreads: usize) -> Self {
         Self {
             work: Partition::by_rows(nunits, nthreads),

@@ -44,12 +44,10 @@
 //! assert_eq!(y, vec![2.0; 4]);
 //! ```
 
-pub mod bcsr;
 pub mod coo;
 pub mod csr;
 pub mod decomposed;
 pub mod delta;
-pub mod ell;
 pub mod kernels;
 pub mod multivec;
 pub mod partition;
@@ -61,17 +59,15 @@ pub mod util;
 
 /// Convenient re-exports of the types used by nearly every consumer.
 pub mod prelude {
-    pub use crate::bcsr::BcsrMatrix;
     pub use crate::coo::CooMatrix;
     pub use crate::csr::CsrMatrix;
     pub use crate::decomposed::DecomposedCsrMatrix;
     pub use crate::delta::{DeltaCsrMatrix, DeltaWidth};
-    pub use crate::ell::EllMatrix;
     pub use crate::kernels::{
-        gflops, Apply, BcsrKernel, BuildReason, CsrKernelConfig, DecomposedKernel, DeltaKernel,
-        EllKernel, InnerLoop, LevelSets, MergeCsr, OpCapabilities, ParallelCsr, SellKernel,
-        SerialCsr, ShardSpec, ShardedOp, SparseLinOp, SpmmKernel, SpmvKernel, SymCsr, SymGsError,
-        SymGsKernel, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel, UnitStrideCsr,
+        gflops, Apply, BuildReason, CsrKernelConfig, DecomposedKernel, DeltaKernel, InnerLoop,
+        LevelSets, MergeCsr, OpCapabilities, ParallelCsr, SellKernel, SerialCsr, ShardSpec,
+        ShardedOp, SparseLinOp, SymCsr, SymGsError, SymGsKernel, TrsvAlgo, TrsvDirection,
+        TrsvError, TrsvKernel, UnitStrideCsr,
     };
     pub use crate::multivec::MultiVec;
     pub use crate::partition::{MergeSegment, Partition, Partition2d};

@@ -62,6 +62,9 @@ fn parse_err(msg: impl Into<String>) -> MmError {
     MmError::Parse(msg.into())
 }
 
+/// Most entries [`read_matrix_market`] reserves up front from the size line.
+const MAX_PRESIZE: usize = 1 << 20;
+
 /// Reads a Matrix Market coordinate matrix from any reader.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix, MmError> {
     let mut lines = BufReader::new(reader).lines();
@@ -113,7 +116,11 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix, MmError> {
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
+    // The header's `nnz` is untrusted: reserve at most what a valid file of
+    // these dimensions could hold, capped, and let further entries grow the
+    // vectors. A short file still fails the count check below.
+    let presize = nnz.min(nrows.saturating_mul(ncols)).min(MAX_PRESIZE);
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, presize);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -409,5 +416,16 @@ mod tests {
         assert!(read_matrix_market(oob.as_bytes()).is_err());
         let short = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         assert!(read_matrix_market(short.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn huge_header_nnz_is_a_count_error_not_an_allocation() {
+        let src = "%%MatrixMarket matrix coordinate real general\n\
+                   1 1 18446744073709551615\n\
+                   1 1 1.0\n";
+        match read_matrix_market(src.as_bytes()) {
+            Err(MmError::Parse(msg)) => assert!(msg.contains("expected"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 }

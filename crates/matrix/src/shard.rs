@@ -124,17 +124,6 @@ pub struct ShardMeta {
     len: u64,
 }
 
-impl ShardMeta {
-    /// In-memory footprint of this shard once loaded as a [`CsrMatrix`]
-    /// (`rowptr` usize + `colind` u32 + `values` f64) — the unit the
-    /// prefetch-window residency bound `window · max_shard_bytes` is
-    /// expressed in.
-    pub fn csr_bytes(&self) -> usize {
-        (self.rows.len() + 1) * std::mem::size_of::<usize>()
-            + self.nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
-    }
-}
-
 fn payload_len(nrows: usize, nnz: usize) -> u64 {
     let rowptr = (nrows as u64 + 1) * 8;
     let colind = (nnz as u64 * 4).div_ceil(8) * 8; // padded to 8-byte boundary
@@ -459,16 +448,6 @@ impl ShardStore {
     /// Panics if `i >= nshards()`.
     pub fn meta(&self, i: usize) -> &ShardMeta {
         &self.metas[i]
-    }
-
-    /// Largest in-memory CSR footprint over all shards — the `shard_bytes`
-    /// factor in the out-of-core residency bound `window · max_shard_bytes`.
-    pub fn max_shard_csr_bytes(&self) -> usize {
-        self.metas
-            .iter()
-            .map(ShardMeta::csr_bytes)
-            .max()
-            .unwrap_or(0)
     }
 
     fn payload(&self, offset: u64, len: u64) -> Result<Cow<'_, [u8]>, ShardError> {

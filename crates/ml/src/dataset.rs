@@ -69,24 +69,6 @@ impl Dataset {
             label_names: self.label_names.clone(),
         }
     }
-
-    /// Returns a copy keeping only the feature columns in `cols` (feature-set
-    /// ablations).
-    pub fn select_features(&self, cols: &[usize]) -> Dataset {
-        Dataset {
-            features: self
-                .features
-                .iter()
-                .map(|row| cols.iter().map(|&c| row[c]).collect())
-                .collect(),
-            labels: self.labels.clone(),
-            feature_names: cols
-                .iter()
-                .map(|&c| self.feature_names[c].clone())
-                .collect(),
-            label_names: self.label_names.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,14 +97,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.features[0], vec![5.0, 6.0]);
         assert_eq!(d.labels[1], vec![true, false]);
-    }
-
-    #[test]
-    fn select_features_projects_columns() {
-        let d = toy().select_features(&[1]);
-        assert_eq!(d.nfeatures(), 1);
-        assert_eq!(d.features[0], vec![2.0]);
-        assert_eq!(d.feature_names, vec!["b".to_string()]);
     }
 
     #[test]

@@ -3,19 +3,15 @@
 //! A from-scratch machine-learning toolkit sufficient for the paper's
 //! feature-guided classifier: a multilabel CART decision tree (the
 //! scikit-learn substitute), multilabel accuracy metrics (Exact/Partial
-//! Match Ratio), Leave-One-Out / k-fold cross-validation, and exhaustive
-//! grid search.
+//! Match Ratio), Leave-One-Out cross-validation, and exhaustive grid
+//! search.
 
 pub mod dataset;
-pub mod forest;
 pub mod metrics;
-pub mod select;
 pub mod tree;
 pub mod validate;
 
 pub use dataset::Dataset;
-pub use forest::{ForestParams, RandomForest};
 pub use metrics::{exact_match_ratio, hamming_loss, partial_match_ratio, LabelScores};
-pub use select::{exhaustive_select, forward_select, loo_exact_score, SelectedFeatures};
 pub use tree::{DecisionTree, TreeParams};
-pub use validate::{cartesian2, grid_search, kfold_cv, loo_cv, Accuracy};
+pub use validate::{cartesian2, grid_search, loo_cv, Accuracy};

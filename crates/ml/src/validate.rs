@@ -1,4 +1,4 @@
-//! Model validation: Leave-One-Out and k-fold cross-validation, and the
+//! Model validation: Leave-One-Out cross-validation, and the
 //! grid search used to tune both the tree hyperparameters and the
 //! profile-guided classifier's thresholds (`T_ML`, `T_IMB`).
 
@@ -20,43 +20,15 @@ pub struct Accuracy {
 /// k experiments are performed").
 pub fn loo_cv(data: &Dataset, params: TreeParams) -> Accuracy {
     assert!(data.len() >= 2, "LOO needs at least two samples");
-    let folds: Vec<Vec<usize>> = (0..data.len()).map(|i| vec![i]).collect();
-    cv_with_folds(data, params, &folds)
-}
-
-/// k-fold cross-validation with contiguous folds (deterministic).
-pub fn kfold_cv(data: &Dataset, params: TreeParams, k: usize) -> Accuracy {
-    assert!(k >= 2 && k <= data.len(), "need 2 <= k <= n folds");
-    let n = data.len();
-    let mut folds = Vec::with_capacity(k);
-    let base = n / k;
-    let extra = n % k;
-    let mut start = 0;
-    for f in 0..k {
-        let len = base + usize::from(f < extra);
-        folds.push((start..start + len).collect());
-        start += len;
-    }
-    cv_with_folds(data, params, &folds)
-}
-
-/// Shared CV driver: per fold, train on the complement and test on the fold;
-/// final accuracy is the average over all held-out samples.
-fn cv_with_folds(data: &Dataset, params: TreeParams, folds: &[Vec<usize>]) -> Accuracy {
-    let mut preds = Vec::with_capacity(data.len());
-    let mut truths = Vec::with_capacity(data.len());
-    for fold in folds {
-        let test: std::collections::HashSet<usize> = fold.iter().copied().collect();
-        let train_idx: Vec<usize> = (0..data.len()).filter(|i| !test.contains(i)).collect();
-        let tree = DecisionTree::fit(&data.subset(&train_idx), params);
-        for &i in fold {
-            preds.push(tree.predict(&data.features[i]));
-            truths.push(data.labels[i].clone());
-        }
-    }
+    let preds: Vec<Vec<bool>> = (0..data.len())
+        .map(|i| {
+            let train: Vec<usize> = (0..data.len()).filter(|&j| j != i).collect();
+            DecisionTree::fit(&data.subset(&train), params).predict(&data.features[i])
+        })
+        .collect();
     Accuracy {
-        exact: exact_match_ratio(&preds, &truths),
-        partial: partial_match_ratio(&preds, &truths),
+        exact: exact_match_ratio(&preds, &data.labels),
+        partial: partial_match_ratio(&preds, &data.labels),
     }
 }
 
@@ -107,15 +79,6 @@ mod tests {
         let d = separable(24);
         let acc = loo_cv(&d, TreeParams::default());
         assert!(acc.exact >= 0.8, "exact {}", acc.exact);
-        assert!(acc.partial >= acc.exact);
-    }
-
-    #[test]
-    fn kfold_runs_and_bounds() {
-        let d = separable(20);
-        let acc = kfold_cv(&d, TreeParams::default(), 5);
-        assert!((0.0..=1.0).contains(&acc.exact));
-        assert!((0.0..=1.0).contains(&acc.partial));
         assert!(acc.partial >= acc.exact);
     }
 

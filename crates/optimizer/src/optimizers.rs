@@ -156,12 +156,6 @@ impl SimOptimizerStudy {
         }
     }
 
-    /// Overrides the profile-guided thresholds (used by the tuning harness).
-    pub fn with_classifier(mut self, classifier: ProfileGuidedClassifier) -> Self {
-        self.classifier = classifier;
-        self
-    }
-
     /// The modeled platform.
     pub fn platform(&self) -> &Platform {
         self.profiler.platform()

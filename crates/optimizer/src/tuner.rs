@@ -243,13 +243,6 @@ impl PlanTuner {
         self
     }
 
-    /// The wrapped optimizer (mutable, so callers can set `llc_bytes` or
-    /// the guard platform exactly as they would on a bare
-    /// [`AdaptiveOptimizer`]).
-    pub fn optimizer_mut(&mut self) -> &mut AdaptiveOptimizer {
-        &mut self.opt
-    }
-
     /// The wrapped optimizer.
     pub fn optimizer(&self) -> &AdaptiveOptimizer {
         &self.opt

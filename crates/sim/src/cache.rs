@@ -135,13 +135,6 @@ impl CacheSim {
         }
     }
 
-    /// Resets statistics but keeps cache contents (for warm-cache phases).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.irregular_misses = 0;
-    }
-
     /// Number of sets (for tests).
     pub fn nsets(&self) -> usize {
         self.sets.len()

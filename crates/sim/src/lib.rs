@@ -15,7 +15,6 @@ pub mod membench;
 pub mod model;
 pub mod platform;
 pub mod roofline;
-pub mod sharded;
 pub mod trsv;
 
 pub use cache::{CacheHierarchy, CacheSim};
@@ -30,5 +29,4 @@ pub use platform::Platform;
 pub use roofline::{
     spmm_intensity, spmv_intensity, spmv_intensity_values_only, Roofline, RooflinePoint,
 };
-pub use sharded::{OocApplyModel, OocApplyReport, ShardTraffic};
 pub use trsv::{select_trsv_algo, simulate_trsv, TrsvProfile, LEVEL_SYNC_CYCLES};

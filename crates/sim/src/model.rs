@@ -23,7 +23,7 @@ use sparseopt_core::csr::CsrMatrix;
 use sparseopt_core::delta::DeltaCsrMatrix;
 use sparseopt_core::kernels::InnerLoop;
 use sparseopt_core::partition::Partition;
-use sparseopt_core::schedule::{ResolvedSchedule, Schedule};
+use sparseopt_core::schedule::Schedule;
 
 /// Storage format being modeled.
 #[derive(Clone, Debug, PartialEq)]
@@ -1004,19 +1004,6 @@ pub fn simulate_spmm_imb_bound(profile: &SimMatrixProfile, platform: &Platform, 
     let base = simulate_spmm(profile, platform, &SimKernelConfig::baseline(), k);
     let median = base.median_thread_secs().max(1e-12);
     2.0 * profile.nnz as f64 * k as f64 / median / 1e9
-}
-
-/// Resolves `Auto` the way the core library would, for reporting.
-pub fn resolved_schedule_label(
-    csr: &CsrMatrix,
-    schedule: &Schedule,
-    nthreads: usize,
-) -> &'static str {
-    match schedule.resolve(csr, nthreads) {
-        ResolvedSchedule::Static(_) => "static",
-        ResolvedSchedule::Dynamic { .. } => "dynamic",
-        ResolvedSchedule::Guided { .. } => "guided",
-    }
 }
 
 #[cfg(test)]

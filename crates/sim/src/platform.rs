@@ -97,11 +97,6 @@ impl Platform {
         }
     }
 
-    /// Elements of `f64` per cache line.
-    pub fn elems_per_line(&self) -> usize {
-        self.cache_line / std::mem::size_of::<f64>()
-    }
-
     /// Intel Xeon Phi 3120P "Knights Corner": in-order cores, no L3,
     /// expensive misses — the platform where ML and IMB dominate (Fig. 7a).
     pub fn knc() -> Platform {

@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `sparseopt-core` | formats (CSR, delta-CSR, BCSR, ELL, decomposed CSR), the format-erased `SparseLinOp` operator layer, partitioners, schedulers, thread pool |
+//! | [`core`] | `sparseopt-core` | formats (CSR, delta-CSR, decomposed CSR, SSS, SELL-C-σ), the format-erased `SparseLinOp` operator layer, partitioners, schedulers, thread pool |
 //! | [`matrix`] | `sparseopt-matrix` | synthetic generators, the paper's evaluation/training suites, Matrix Market I/O, Table I features |
 //! | [`sim`] | `sparseopt-sim` | Table III platform models, cache simulator, execution-time model, STREAM micro-benchmark |
 //! | [`ml`] | `sparseopt-ml` | multilabel CART decision tree, metrics, cross-validation, grid search |
