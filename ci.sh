@@ -44,7 +44,9 @@ md_link_tier() {
   # markdown (README, docs/, ROADMAP, ...) must exist on disk, and every
   # docs/*.md page must be reachable from README.md by following those
   # links (BFS), so the docs book cannot rot when files move and a new
-  # page cannot land orphaned.
+  # page cannot land orphaned. A backticked `*.md` file named in `//!` or
+  # `///` rustdoc under crates/ and src/ must exist too, relative to the
+  # repo root or to a directory enclosing the source file.
   python3 - <<'PY'
 import re, subprocess, sys
 from pathlib import Path
@@ -87,11 +89,27 @@ for f in files:
     if f.startswith("docs/") and f not in reachable:
         bad.append(f"{f}: orphan page (not reachable from README.md)")
 
+sources = subprocess.run(
+    ["git", "ls-files", "-co", "--exclude-standard", "crates/*.rs", "src/*.rs"],
+    capture_output=True, text=True, check=True,
+).stdout.split()
+doc_line = re.compile(r"^\s*//[/!]")
+md_name = re.compile(r"`([^`\s*]+\.md)(?:#[^`]*)?`")
+for f in sources:
+    for n, line in enumerate(Path(f).read_text(encoding="utf-8").splitlines(), 1):
+        if not doc_line.match(line):
+            continue
+        for name in md_name.findall(line):
+            bases = [Path(".")] + list(Path(f).parents)
+            if not any((base / name).exists() for base in bases):
+                bad.append(f"{f}:{n}: rustdoc names missing file `{name}`")
+
 if bad:
     print("\n".join(bad), file=sys.stderr)
     sys.exit(1)
 print(f"markdown links ok across {len(files)} file(s); "
-      f"{sum(1 for f in files if f.startswith('docs/'))} docs page(s) reachable")
+      f"{sum(1 for f in files if f.startswith('docs/'))} docs page(s) reachable; "
+      f"rustdoc .md names ok across {len(sources)} source file(s)")
 PY
 }
 

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out, on the KNC
+//! Ablation studies of this implementation's own design choices, on the KNC
 //! model:
 //!
 //! 1. **Delta width** — u8 vs u16 vs the auto rule (footprint + modeled

@@ -1,7 +1,7 @@
 //! # sparseopt-bench
 //!
 //! Harnesses that regenerate every table and figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the index):
+//! evaluation:
 //!
 //! | binary | regenerates |
 //! |---|---|

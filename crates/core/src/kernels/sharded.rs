@@ -11,17 +11,30 @@
 //! `{NoTrans, Trans} × {vector, multi-vector}` application space while
 //! keeping at most `window` built shards resident:
 //!
-//! - **Bounded window.** Built shard kernels live in an LRU cache of
-//!   capacity `window`; a miss evicts the least-recently-used shard *before*
-//!   building the next one, so accounted residency never exceeds
-//!   `window · max_shard_bytes` (see [`resident_shard_bytes`]).
-//! - **Prefetch.** With `window ≥ 2`, each apply runs a staging thread that
-//!   loads the next uncached shard's raw CSR one step ahead of the compute
-//!   loop (depth 1, so streaming adds at most two transient fragments on
-//!   top of the window). Kernel *builds* and *applies* stay on the calling
-//!   thread, and all pool work is serialized on an internal gate, so a
-//!   background compaction build never interleaves its pool runs with an
-//!   apply's.
+//! - **Bounded window.** Built shard kernels live in a cache of capacity
+//!   `window`; a miss evicts *before* building the next shard, so accounted
+//!   residency never exceeds `window · max_shard_bytes` (see
+//!   [`resident_shard_bytes`]). The victim is the resident shard that is
+//!   cheapest to rebuild — fewest base nonzeros, ties to the least recently
+//!   used — because the loader's copy and every builder scale with nnz.
+//! - **Resident first.** Forward applies (`NoTrans`) visit the shards that
+//!   are already built before the rest, each group in row order; forward
+//!   shards write disjoint rows of `y`, so the output does not depend on
+//!   the order. Transposed applies keep row order so their cross-shard sums
+//!   stay bit-reproducible from call to call. Together with the eviction
+//!   rule, once the first apply has filled the window the `window − 1`
+//!   shards with the most nonzeros are never evicted, and every further
+//!   forward apply builds exactly `nshards − window` shards (none at
+//!   `window ≥ nshards`). Plain LRU under the same full-matrix scan would
+//!   rebuild all `nshards` on every apply.
+//! - **Prefetch.** With `window ≥ 2`, an apply that still has to load some
+//!   shard from its loader runs a staging thread that loads raw CSR one
+//!   step ahead of the compute loop, in the visit order (depth 1, so
+//!   streaming adds at most two transient fragments on top of the window);
+//!   an apply over an all-resident window spawns no thread. Kernel *builds*
+//!   and *applies* stay on the calling thread, and all pool work is
+//!   serialized on an internal gate, so a background compaction build never
+//!   interleaves its pool runs with an apply's.
 //! - **Delta overlay.** [`ShardedOp::stage_delta`] records additive COO
 //!   updates (`a[r][c] += v`) in the owning shard's overlay; every apply
 //!   folds the overlay in after the base kernel, so updates are visible
@@ -84,7 +97,6 @@ use crate::kernels::{check_apply_multi_operands, check_apply_operands, Apply, Sp
 use crate::multivec::MultiVec;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// Why the builder is being invoked for a shard.
@@ -147,6 +159,10 @@ pub fn reset_peak_resident_shard_bytes() {
 
 /// One staged additive update `(row, col, value)` in a shard's overlay.
 type DeltaEntry = (usize, usize, f64);
+
+/// A fragment prefetched by the staging thread, with the shard generation
+/// it was loaded at.
+type Staged = (u64, CsrMatrix);
 
 /// RAII residency accounting for one cached shard kernel.
 struct ResidencyGuard {
@@ -212,6 +228,9 @@ struct ShardState {
 struct Shard {
     rows: Range<usize>,
     builder: Arc<ShardBuildFn>,
+    /// Eviction cost: `ShardState::base_nnz`, mirrored outside the state
+    /// lock so `make_room` can rank victims under the LRU lock alone.
+    cost: AtomicUsize,
     state: Mutex<ShardState>,
 }
 
@@ -222,15 +241,22 @@ struct Maintenance {
 }
 
 /// The streaming out-of-core operator: row-block shards through a bounded
-/// LRU window with depth-1 prefetch, an additive COO delta overlay, and
-/// background threshold-triggered compaction. See the module-level
-/// documentation above for the full contract and an example.
+/// window with depth-1 prefetch, an additive COO delta overlay, and
+/// background threshold-triggered compaction.
+///
+/// The window evicts the cheapest shard to rebuild (fewest base nonzeros,
+/// ties to the least recently used), and forward applies visit resident
+/// shards first. After the first apply fills the window, the `window − 1`
+/// shards with the most nonzeros stay built and each further forward apply
+/// builds `nshards − window` shards. See the module-level documentation
+/// above for the full contract and an example.
 pub struct ShardedOp {
     shape: (usize, usize),
     shards: Vec<Shard>,
     window: usize,
     compaction_threshold: f64,
-    /// LRU order of cached shard indexes (front = coldest). Advisory:
+    /// Recency order of cached shard indexes (front = coldest), the
+    /// tie-break between equally cheap victims. Advisory:
     /// `ShardState::cached` is the source of truth.
     lru: Mutex<Vec<usize>>,
     cached_count: AtomicUsize,
@@ -272,6 +298,7 @@ impl ShardedOp {
             .map(|s| Shard {
                 rows: s.rows,
                 builder: s.builder,
+                cost: AtomicUsize::new(s.nnz),
                 state: Mutex::new(ShardState {
                     source: ShardSource::Loader(s.loader),
                     cached: None,
@@ -437,6 +464,7 @@ impl ShardedOp {
             return;
         }
         st.base_nnz = merged.nnz();
+        shard.cost.store(st.base_nnz, Ordering::Relaxed);
         st.source = ShardSource::Resident(merged);
         st.overlay.drain(..snap_len);
         st.generation += 1;
@@ -454,16 +482,20 @@ impl ShardedOp {
         self.compactions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Evicts least-recently-used shards until the cache has room for one
-    /// more entry. Never holds the LRU lock and a shard lock at once.
+    /// Evicts the cached shards that are cheapest to rebuild (fewest base
+    /// nonzeros, ties to the least recently used) until the cache has room
+    /// for one more entry. Never holds the LRU lock and a shard lock at once.
     fn make_room(&self) {
         while self.cached_count.load(Ordering::Relaxed) >= self.window {
             let victim = {
                 let mut lru = self.lru.lock().expect("lru");
-                if lru.is_empty() {
+                // `min_by_key` keeps the first minimum: the coldest of ties.
+                let Some(pos) = (0..lru.len())
+                    .min_by_key(|&pos| self.shards[lru[pos]].cost.load(Ordering::Relaxed))
+                else {
                     return;
-                }
-                lru.remove(0)
+                };
+                lru.remove(pos)
             };
             let mut st = self.shards[victim].state.lock().expect("shard state");
             if st.cached.take().is_some() {
@@ -479,12 +511,13 @@ impl ShardedOp {
     }
 
     /// Returns shard `si`'s kernel and an overlay snapshot, loading and
-    /// building (and evicting) as needed. `staged` optionally supplies
-    /// fragments prefetched by the staging thread.
+    /// building (and evicting) as needed. `staged` optionally supplies the
+    /// fragment the staging thread prefetched for `si`, tagged with the
+    /// generation it was loaded at.
     fn acquire(
         &self,
         si: usize,
-        staged: Option<&Receiver<(usize, u64, CsrMatrix)>>,
+        mut staged: Option<Staged>,
     ) -> (Arc<dyn SparseLinOp>, Vec<DeltaEntry>) {
         loop {
             let (source, generation) = {
@@ -498,21 +531,13 @@ impl ShardedOp {
                 (st.source.snapshot(), st.generation)
             };
 
-            let mut csr: Option<Arc<CsrMatrix>> = None;
-            if let (ShardSource::Loader(_), Some(rx)) = (&source, staged) {
-                // Drain the staging channel up to our shard; earlier or
-                // stale entries were loaded for windows that no longer need
-                // them and are simply dropped.
-                while let Ok((idx, gen, fragment)) = rx.recv() {
-                    if idx == si {
-                        if gen == generation {
-                            csr = Some(Arc::new(fragment));
-                        }
-                        break;
-                    }
+            // A fragment staged before a compaction swap is stale.
+            let csr = match (staged.take(), &source) {
+                (Some((gen, fragment)), ShardSource::Loader(_)) if gen == generation => {
+                    Arc::new(fragment)
                 }
-            }
-            let csr = csr.unwrap_or_else(|| source.load(&self.shards[si].rows));
+                _ => source.load(&self.shards[si].rows),
+            };
 
             self.make_room();
             let built = (self.shards[si].builder)(&csr, BuildReason::Stream);
@@ -538,44 +563,63 @@ impl ShardedOp {
         }
     }
 
-    /// Runs `visit` over every shard in row order, with depth-1 prefetch of
-    /// raw fragments on a staging thread when the window allows it.
-    fn stream(&self, mut visit: impl FnMut(usize, &Arc<dyn SparseLinOp>, &[(usize, usize, f64)])) {
+    /// Runs `visit` over every shard once. With `resident_first` the shards
+    /// already built come first, then the rest, each group in row order;
+    /// otherwise the order is row order. When the window allows it and some
+    /// shard not yet built still has to come from its loader, a staging
+    /// thread prefetches raw fragments one step ahead in the same order.
+    fn stream(
+        &self,
+        resident_first: bool,
+        mut visit: impl FnMut(usize, &Arc<dyn SparseLinOp>, &[(usize, usize, f64)]),
+    ) {
         let n = self.shards.len();
-        if self.window >= 2 && n > 1 {
+        let mut built = Vec::with_capacity(n);
+        let mut needs_loader = false;
+        for shard in &self.shards {
+            let st = shard.state.lock().expect("shard state");
+            built.push(st.cached.is_some());
+            needs_loader |= st.cached.is_none() && matches!(st.source, ShardSource::Loader(_));
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        if resident_first {
+            order.sort_by_key(|&si| !built[si]); // stable: row order within groups
+        }
+
+        if self.window >= 2 && n > 1 && needs_loader {
             std::thread::scope(|s| {
-                let (tx, rx): (SyncSender<(usize, u64, CsrMatrix)>, _) = mpsc::sync_channel(1);
+                // One message per visited shard, in visit order: `None` when
+                // the shard needs no load (built, compacted) or its load
+                // failed, which the compute loop then redoes inline.
+                let (tx, rx) = mpsc::sync_channel::<Option<Staged>>(1);
+                let order = &order;
                 s.spawn(move || {
-                    for si in 0..n {
+                    for &si in order {
                         let staged = {
                             let st = self.shards[si].state.lock().expect("shard state");
-                            if st.cached.is_some() {
-                                None
-                            } else if let ShardSource::Loader(f) = &st.source {
-                                Some((f.clone(), st.generation))
-                            } else {
-                                None
+                            match &st.source {
+                                ShardSource::Loader(f) if st.cached.is_none() => {
+                                    Some((f.clone(), st.generation))
+                                }
+                                _ => None,
                             }
                         };
-                        if let Some((loader, gen)) = staged {
-                            // A failed load is not reported here: the
-                            // compute loop retries inline and surfaces it.
-                            if let Ok(fragment) = loader() {
-                                if tx.send((si, gen, fragment)).is_err() {
-                                    return; // apply finished without us
-                                }
-                            }
+                        let fragment =
+                            staged.and_then(|(loader, gen)| loader().ok().map(|m| (gen, m)));
+                        if tx.send(fragment).is_err() {
+                            return; // apply finished without us
                         }
                     }
                 });
-                for si in 0..n {
-                    let (op, overlay) = self.acquire(si, Some(&rx));
+                for &si in order {
+                    let staged = rx.recv().ok().flatten();
+                    let (op, overlay) = self.acquire(si, staged);
                     visit(si, &op, &overlay);
                 }
                 drop(rx); // unblock the staging thread before scope join
             });
         } else {
-            for si in 0..n {
+            for si in order {
                 let (op, overlay) = self.acquire(si, None);
                 visit(si, &op, &overlay);
             }
@@ -583,7 +627,7 @@ impl ShardedOp {
     }
 
     fn forward(&self, x: &[f64], y: &mut [f64]) {
-        self.stream(|si, op, overlay| {
+        self.stream(true, |si, op, overlay| {
             let rows = &self.shards[si].rows;
             op.apply(Apply::NoTrans, x, &mut y[rows.clone()]);
             for &(r, c, v) in overlay {
@@ -595,7 +639,7 @@ impl ShardedOp {
     fn transposed(&self, x: &[f64], y: &mut [f64]) {
         y.fill(0.0);
         let mut scratch = vec![0.0; self.shape.1];
-        self.stream(|si, op, overlay| {
+        self.stream(false, |si, op, overlay| {
             let rows = &self.shards[si].rows;
             if op.nnz() > 0 {
                 scratch.fill(0.0);
@@ -613,7 +657,7 @@ impl ShardedOp {
     fn forward_multi(&self, x: &MultiVec, y: &mut MultiVec) {
         let k = x.width();
         let mut block = MultiVec::zeros(0, k.max(1));
-        self.stream(|si, op, overlay| {
+        self.stream(true, |si, op, overlay| {
             let rows = &self.shards[si].rows;
             block.reset_zeroed(rows.len(), k);
             op.apply_multi(Apply::NoTrans, x, &mut block);
@@ -631,7 +675,7 @@ impl ShardedOp {
         y.fill(0.0);
         let mut block_in = MultiVec::zeros(0, k.max(1));
         let mut scratch = MultiVec::zeros(0, k.max(1));
-        self.stream(|si, op, overlay| {
+        self.stream(false, |si, op, overlay| {
             let rows = &self.shards[si].rows;
             if op.nnz() > 0 {
                 block_in.reset_zeroed(rows.len(), k);
@@ -713,6 +757,14 @@ mod tests {
     use crate::coo::CooMatrix;
     use crate::kernels::SerialCsr;
 
+    /// Residency accounting is crate-global, so a test that reads the peak
+    /// would see other tests' windows: every test here that builds shards
+    /// holds this lock.
+    fn serial_residency() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn row_block(full: &CsrMatrix, rows: Range<usize>) -> CsrMatrix {
         let mut coo = CooMatrix::new(rows.len(), full.ncols());
         for (local, r) in rows.enumerate() {
@@ -767,6 +819,228 @@ mod tests {
         (coo, full, specs)
     }
 
+    /// Shards of `rows_per_shard` rows whose row `r` holds `nnz_per_row[s]`
+    /// entries, with a builder that counts its calls per shard.
+    fn counted_specs(
+        nnz_per_row: &[usize],
+        rows_per_shard: usize,
+    ) -> (usize, Vec<ShardSpec>, Arc<Vec<AtomicUsize>>) {
+        let n = nnz_per_row.len() * rows_per_shard;
+        let mut coo = CooMatrix::new(n, n);
+        for (s, &per_row) in nnz_per_row.iter().enumerate() {
+            for r in s * rows_per_shard..(s + 1) * rows_per_shard {
+                for j in 0..per_row {
+                    coo.push(r, (r * 7 + j * 13) % n, 1.0 + ((r + j) % 5) as f64 * 0.25);
+                }
+            }
+        }
+        coo.sort_and_dedup();
+        let full = CsrMatrix::from_coo(&coo);
+        let builds: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..nnz_per_row.len())
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
+        let specs = serial_specs(&full, rows_per_shard)
+            .into_iter()
+            .enumerate()
+            .map(|(s, spec)| {
+                let builds = builds.clone();
+                ShardSpec {
+                    builder: Arc::new(move |csr: &Arc<CsrMatrix>, _| {
+                        builds[s].fetch_add(1, Ordering::Relaxed);
+                        Box::new(SerialCsr::new(csr.clone())) as Box<dyn SparseLinOp>
+                    }),
+                    ..spec
+                }
+            })
+            .collect();
+        (n, specs, builds)
+    }
+
+    fn total(builds: &[AtomicUsize]) -> usize {
+        builds.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Builder calls made while `apply` runs.
+    fn builds_of(builds: &[AtomicUsize], apply: impl FnOnce()) -> usize {
+        let before = total(builds);
+        apply();
+        total(builds) - before
+    }
+
+    fn forward_once(op: &ShardedOp, n: usize) {
+        let x: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
+        let mut y = vec![0.0; n];
+        op.apply(Apply::NoTrans, &x, &mut y);
+    }
+
+    fn trans_once(op: &ShardedOp, n: usize) {
+        let x: Vec<f64> = (0..n).map(|i| (i % 3) as f64 - 1.0).collect();
+        let mut y = vec![0.0; n];
+        op.apply(Apply::Trans, &x, &mut y);
+    }
+
+    fn forward_multi_once(op: &ShardedOp, n: usize) {
+        let mut x = MultiVec::zeros(n, 3);
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+            *v = (i % 7) as f64 - 3.0;
+        }
+        let mut y = MultiVec::zeros(n, 3);
+        op.apply_multi(Apply::NoTrans, &x, &mut y);
+    }
+
+    #[test]
+    fn builds_nshards_minus_window_with_distinct_nnz() {
+        let _serial = serial_residency();
+        // Eight shards of distinct nnz; the largest two are shards 2 and 4.
+        let (n, specs, builds) = counted_specs(&[5, 1, 8, 3, 7, 2, 6, 4], 6);
+        let op = ShardedOp::new((n, n), specs, 3);
+        forward_once(&op, n);
+        assert_eq!(total(&builds), 8, "the first apply builds every shard");
+        for round in 0..4 {
+            assert_eq!(
+                builds_of(&builds, || forward_once(&op, n)),
+                5,
+                "apply {round}"
+            );
+            assert_eq!(builds_of(&builds, || forward_multi_once(&op, n)), 5);
+            assert!(op.cached_shards() <= 3);
+        }
+        // Row-order transposed applies rebuild more, but the costliest
+        // shards still never leave the window.
+        trans_once(&op, n);
+        trans_once(&op, n);
+        for big in [2, 4] {
+            assert_eq!(
+                builds[big].load(Ordering::Relaxed),
+                1,
+                "shard {big} was rebuilt"
+            );
+        }
+    }
+
+    #[test]
+    fn builds_nshards_minus_window_with_equal_nnz() {
+        let _serial = serial_residency();
+        for window in [2, 3, 5] {
+            let (n, specs, builds) = counted_specs(&[3; 8], 5);
+            let op = ShardedOp::new((n, n), specs, window);
+            forward_once(&op, n);
+            for _ in 0..3 {
+                assert_eq!(builds_of(&builds, || forward_once(&op, n)), 8 - window);
+                assert_eq!(
+                    builds_of(&builds, || forward_multi_once(&op, n)),
+                    8 - window
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn builds_at_window_extremes() {
+        let _serial = serial_residency();
+        // Window 1: a forward apply rebuilds all but the shard the previous
+        // apply left resident; a row-order transposed apply rebuilds all.
+        let (n, specs, builds) = counted_specs(&[4, 2, 6, 1, 3], 4);
+        let op = ShardedOp::new((n, n), specs, 1);
+        forward_once(&op, n);
+        for _ in 0..3 {
+            assert_eq!(builds_of(&builds, || forward_once(&op, n)), 4);
+            assert_eq!(builds_of(&builds, || trans_once(&op, n)), 5);
+        }
+        // Window >= nshards: nothing is rebuilt after warm-up.
+        for window in [5, 9] {
+            let (n, specs, builds) = counted_specs(&[4, 2, 6, 1, 3], 4);
+            let op = ShardedOp::new((n, n), specs, window);
+            forward_once(&op, n);
+            assert_eq!(builds_of(&builds, || forward_once(&op, n)), 0);
+            assert_eq!(builds_of(&builds, || trans_once(&op, n)), 0);
+            assert_eq!(builds_of(&builds, || forward_multi_once(&op, n)), 0);
+        }
+    }
+
+    #[test]
+    fn builds_rank_a_compacted_shard_by_its_merged_nnz() {
+        let _serial = serial_residency();
+        // Shard 1 starts cheapest (6 nnz) and compacts to the largest.
+        let (n, specs, builds) = counted_specs(&[4, 1, 3, 2], 6);
+        let op = Arc::new(ShardedOp::new((n, n), specs, 2).with_compaction_threshold(10.0));
+        forward_once(&op, n);
+        for i in 0..61 {
+            op.stage_delta(6 + i / 11, (i % 11) * 2, 0.5);
+        }
+        op.wait_for_compactions();
+        assert_eq!(op.compactions_completed(), 1);
+        forward_once(&op, n);
+        let settled = builds[1].load(Ordering::Relaxed);
+        for _ in 0..3 {
+            assert_eq!(builds_of(&builds, || forward_once(&op, n)), 2);
+        }
+        assert_eq!(
+            builds[1].load(Ordering::Relaxed),
+            settled,
+            "shard 1 was rebuilt"
+        );
+    }
+
+    #[test]
+    fn bit_identical_forward_across_windows() {
+        let _serial = serial_residency();
+        let (_, full, specs) = dense_blocks(96, 12, 17);
+        let streamed = ShardedOp::new((96, 96), specs.clone(), 3);
+        let resident = ShardedOp::new((96, 96), specs, 8);
+        let x: Vec<f64> = (0..96)
+            .map(|i| ((i * 37) % 11) as f64 * 0.37 - 1.5)
+            .collect();
+        let mut want = vec![0.0; 96];
+        resident.apply(Apply::NoTrans, &x, &mut want);
+        let mut xm = MultiVec::zeros(96, 4);
+        for (i, v) in xm.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 13) % 9) as f64 * 0.61 - 2.0;
+        }
+        let mut want_m = MultiVec::zeros(96, 4);
+        resident.apply_multi(Apply::NoTrans, &xm, &mut want_m);
+        // Several applies, so later ones run in resident-first order.
+        for _ in 0..3 {
+            let mut got = vec![f64::NAN; 96];
+            streamed.apply(Apply::NoTrans, &x, &mut got);
+            assert_eq!(bits(&got), bits(&want));
+            let mut got_m = MultiVec::zeros(96, 4);
+            streamed.apply_multi(Apply::NoTrans, &xm, &mut got_m);
+            assert_eq!(bits(got_m.as_slice()), bits(want_m.as_slice()));
+        }
+        assert_matches(&streamed, &full);
+    }
+
+    #[test]
+    fn bit_identical_repeated_trans() {
+        let _serial = serial_residency();
+        let (_, _, specs) = dense_blocks(96, 12, 23);
+        let op = ShardedOp::new((96, 96), specs, 3);
+        let x: Vec<f64> = (0..96)
+            .map(|i| ((i * 29) % 13) as f64 * 0.41 - 2.5)
+            .collect();
+        let mut first = vec![0.0; 96];
+        let mut second = vec![0.0; 96];
+        op.apply(Apply::Trans, &x, &mut first);
+        op.apply(Apply::Trans, &x, &mut second);
+        assert_eq!(bits(&first), bits(&second));
+        let mut xm = MultiVec::zeros(96, 2);
+        for (i, v) in xm.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 7) % 5) as f64 * 0.73 - 1.0;
+        }
+        let mut first_m = MultiVec::zeros(96, 2);
+        let mut second_m = MultiVec::zeros(96, 2);
+        op.apply_multi(Apply::Trans, &xm, &mut first_m);
+        op.apply_multi(Apply::Trans, &xm, &mut second_m);
+        assert_eq!(bits(first_m.as_slice()), bits(second_m.as_slice()));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn assert_matches(op: &ShardedOp, reference: &CsrMatrix) {
         let serial = SerialCsr::new(Arc::new(reference.clone()));
         for apply in Apply::ALL {
@@ -784,6 +1058,7 @@ mod tests {
 
     #[test]
     fn matches_reference_across_windows() {
+        let _serial = serial_residency();
         let (_, full, specs) = dense_blocks(60, 13, 5);
         for window in [1, 2, 8] {
             let op = ShardedOp::new((60, 60), specs.clone(), window);
@@ -794,6 +1069,7 @@ mod tests {
 
     #[test]
     fn deltas_are_visible_and_compaction_preserves_results() {
+        let _serial = serial_residency();
         let (mut coo, full, specs) = dense_blocks(40, 10, 9);
         let op = Arc::new(ShardedOp::new((40, 40), specs, 2).with_compaction_threshold(0.05));
         // Pre-delta sanity, then stage enough deltas to cross the threshold.
@@ -810,6 +1086,7 @@ mod tests {
 
     #[test]
     fn residency_stays_within_window() {
+        let _serial = serial_residency();
         let (_, _, specs) = dense_blocks(64, 8, 3);
         let op = ShardedOp::new((64, 64), specs, 2);
         reset_peak_resident_shard_bytes();

@@ -5,8 +5,7 @@
 //!
 //! The generators replace the University of Florida Sparse Matrix Collection
 //! (which cannot ship with the repository) with structurally equivalent
-//! synthetic matrices; see `DESIGN.md` for the substitution argument and
-//! [`suite`] for the per-matrix mapping.
+//! synthetic matrices; see [`suite`] for the per-matrix mapping.
 
 #![warn(missing_docs)]
 

@@ -89,8 +89,10 @@ impl PlanTuner {
     ///
     /// The tuned kernels themselves are *not* kept: the `ShardedOp` builds
     /// each shard's kernel lazily from its recorded plan when the shard
-    /// enters the streaming window, so cold start costs one build per
-    /// window entry, not one per shard.
+    /// enters the streaming window. The first apply builds every shard
+    /// once; after it, the `window − 1` shards with the most nonzeros stay
+    /// built and each forward apply builds `nshards − window` shards (none
+    /// when `window ≥ nshards`).
     pub fn optimize_sharded(
         &self,
         store: Arc<sparseopt_matrix::ShardStore>,

@@ -8,7 +8,7 @@
 //! not available here; `simulate` reproduces the *mechanisms* those results
 //! come from (bandwidth saturation, latency-bound irregular gathers, thread
 //! imbalance, loop/compute limits) so every figure's shape can be
-//! regenerated. See `DESIGN.md` §2 for the substitution argument.
+//! regenerated.
 
 pub mod cache;
 pub mod membench;

@@ -1,7 +1,7 @@
 //! Analytic SpMV execution-time model over the Table III platforms.
 //!
 //! This is the substitution substrate for the paper's real KNC / KNL /
-//! Broadwell testbeds (see `DESIGN.md`): per-thread execution time is
+//! Broadwell testbeds (see the crate docs): per-thread execution time is
 //! predicted from the mechanisms the paper attributes performance to —
 //!
 //! * **bandwidth**: streamed matrix/vector bytes against the STREAM triad
